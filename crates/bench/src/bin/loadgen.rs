@@ -74,6 +74,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ai2_bench::LoadgenResult;
+use ai2_serve::cli::Cli;
 use ai2_serve::protocol::{decode_line, encode_line};
 use ai2_serve::{AdminRequest, Recommendation, Request, Response, TcpClient};
 use ai2_tensor::stats::percentile;
@@ -96,6 +97,18 @@ struct Args {
     trace_dump: Option<String>,
 }
 
+const USAGE: &str = "\
+usage: loadgen --addr HOST:PORT [--requests N] [--concurrency C]
+               [--connections N] [--open-loop] [--slow-loris] [--min-sheds N]
+               [--models] [--deadline-ms N] [--backend NAME]
+               [--pipeline NAME] [--refresh] [--swap-checkpoint PATH]
+               [--json PATH] [--trace] [--trace-dump PATH]
+
+Drives a running serve endpoint and exits non-zero on any malformed or
+unexpected response. See the crate docs of src/bin/loadgen.rs for what
+each flag does.
+";
+
 fn parse_args() -> Args {
     let mut args = Args {
         addr: String::new(),
@@ -114,53 +127,38 @@ fn parse_args() -> Args {
         trace: false,
         trace_dump: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| panic!("{} takes a value", argv[*i - 1]))
-            .clone()
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => args.addr = value(&mut i),
-            "--requests" => args.requests = value(&mut i).parse().expect("--requests count"),
-            "--concurrency" => {
-                args.concurrency = value(&mut i).parse().expect("--concurrency count");
-            }
-            "--connections" => {
-                args.concurrency = value(&mut i).parse().expect("--connections count");
-            }
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--addr" => args.addr = cli.value(&flag),
+            "--requests" => args.requests = cli.parse(&flag),
+            "--concurrency" | "--connections" => args.concurrency = cli.parse(&flag),
             "--open-loop" => args.open_loop = true,
             "--slow-loris" => args.slow_loris = true,
-            "--min-sheds" => args.min_sheds = value(&mut i).parse().expect("--min-sheds count"),
+            "--min-sheds" => args.min_sheds = cli.parse(&flag),
             "--models" => args.models = true,
-            "--deadline-ms" => {
-                args.deadline_ms = Some(value(&mut i).parse().expect("--deadline-ms"))
-            }
-            "--backend" => args.backend = Some(value(&mut i)),
-            "--pipeline" => args.pipeline = Some(value(&mut i)),
+            "--deadline-ms" => args.deadline_ms = Some(cli.parse(&flag)),
+            "--backend" => args.backend = Some(cli.value(&flag)),
+            "--pipeline" => args.pipeline = Some(cli.value(&flag)),
             "--refresh" => args.refresh = true,
-            "--swap-checkpoint" => args.swap_checkpoint = Some(value(&mut i)),
-            "--json" => args.json = Some(value(&mut i)),
+            "--swap-checkpoint" => args.swap_checkpoint = Some(cli.value(&flag)),
+            "--json" => args.json = Some(cli.value(&flag)),
             "--trace" => args.trace = true,
-            "--trace-dump" => args.trace_dump = Some(value(&mut i)),
-            other => panic!("unknown argument {other:?} (see src/bin/loadgen.rs for usage)"),
+            "--trace-dump" => args.trace_dump = Some(cli.value(&flag)),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
-    assert!(!args.addr.is_empty(), "--addr HOST:PORT is required");
-    assert!(args.requests > 0 && args.concurrency > 0);
-    if args.refresh {
-        assert!(
-            args.swap_checkpoint.is_some(),
-            "--refresh needs --swap-checkpoint PATH (a server-side checkpoint file)"
-        );
-        assert!(
-            !args.open_loop && !args.slow_loris,
-            "--refresh is a closed-loop assertion; it does not compose with the flood modes"
-        );
+    if args.addr.is_empty() {
+        cli.fail("--addr HOST:PORT is required");
+    }
+    if args.requests == 0 || args.concurrency == 0 {
+        cli.fail("--requests and --concurrency must be positive");
+    }
+    if args.refresh && args.swap_checkpoint.is_none() {
+        cli.fail("--refresh needs --swap-checkpoint PATH (a server-side checkpoint file)");
+    }
+    if args.refresh && (args.open_loop || args.slow_loris) {
+        cli.fail("--refresh is a closed-loop assertion; it does not compose with the flood modes");
     }
     args
 }

@@ -52,25 +52,35 @@ impl FeatureEncoder {
 
     /// Encodes one DSE input as a feature row.
     pub fn encode_input(&self, input: &DseInput) -> [f32; NUM_FEATURES] {
-        let raw = Tensor::from_rows(&[&[
+        let mut out = [0.0f32; NUM_FEATURES];
+        out[..3].copy_from_slice(&[
             (input.gemm.m as f32).ln(),
             (input.gemm.n as f32).ln(),
             (input.gemm.k as f32).ln(),
-        ]]);
-        let z = self.dims.transform(&raw);
-        let mut out = [0.0f32; NUM_FEATURES];
-        out[..3].copy_from_slice(z.row(0));
+        ]);
+        self.dims.transform_row(&mut out[..3]);
         out[3 + input.dataflow.index()] = 1.0;
         out
     }
 
     /// Encodes a batch of inputs as `[n, NUM_FEATURES]`.
     pub fn encode_inputs(&self, inputs: &[DseInput]) -> Tensor {
-        let rows: Vec<Tensor> = inputs
-            .iter()
-            .map(|i| Tensor::from_slice(&self.encode_input(i)))
-            .collect();
-        Tensor::stack_rows(&rows)
+        let mut out = Tensor::default();
+        self.encode_inputs_into(inputs, &mut out);
+        out
+    }
+
+    /// [`FeatureEncoder::encode_inputs`] into a caller-held tensor, whose
+    /// buffer is reused (no allocation once it is large enough).
+    pub fn encode_inputs_into(&self, inputs: &[DseInput], out: &mut Tensor) {
+        out.reset_zeros(&[inputs.len(), NUM_FEATURES]);
+        for (row, input) in out
+            .as_mut_slice()
+            .chunks_exact_mut(NUM_FEATURES)
+            .zip(inputs)
+        {
+            row.copy_from_slice(&self.encode_input(input));
+        }
     }
 
     /// Standardised log-latency target for the performance predictor.

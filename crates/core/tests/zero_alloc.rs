@@ -3,7 +3,8 @@
 //! A counting global allocator wraps [`std::alloc::System`]; after
 //! warm-up passes, a full batched forward (encoder + decoder heads,
 //! `f32` and int8 flavors) through a reused [`InferenceScratch`] must
-//! perform **zero** heap allocations.
+//! perform **zero** heap allocations, and a whole prediction (feature
+//! encode → forward → UOV decode) exactly one: the returned points.
 //!
 //! This file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a concurrently running test would pollute the
@@ -13,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ai2_dse::{DseDataset, DseTask, GenerateConfig};
+use ai2_workloads::generator::DseInput;
 use airchitect::{Airchitect2, InferenceScratch, ModelConfig};
 
 struct CountingAlloc;
@@ -49,6 +51,25 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
+/// A warm `predict_with` allocates the returned `Vec<DesignPoint>` and
+/// nothing else.
+fn assert_predict_allocates_only_its_result(
+    model: &Airchitect2,
+    inputs: &[DseInput],
+    scratch: &mut InferenceScratch,
+) {
+    for _ in 0..3 {
+        model.predict_with(inputs, scratch); // warm-up
+    }
+    let mut points = Vec::new();
+    let n = allocations(|| points = model.predict_with(inputs, scratch));
+    assert_eq!(points.len(), inputs.len());
+    assert_eq!(
+        n, 1,
+        "warm predict_with performed {n} heap allocations besides its result"
+    );
+}
+
 #[test]
 fn warm_forward_pass_allocates_nothing() {
     let task = DseTask::table_i_default();
@@ -77,6 +98,7 @@ fn warm_forward_pass_allocates_nothing() {
         steady, 0,
         "warm f32 forward pass performed {steady} heap allocations"
     );
+    assert_predict_allocates_only_its_result(&model, &inputs, &mut scratch);
 
     // int8 flavor --------------------------------------------------------
     model.quantize_decoder();
@@ -91,6 +113,7 @@ fn warm_forward_pass_allocates_nothing() {
         steady_q, 0,
         "warm int8 forward pass performed {steady_q} heap allocations"
     );
+    assert_predict_allocates_only_its_result(&model, &inputs, &mut qscratch);
 
     // Repeating the steady-state batch keeps producing identical outputs.
     let (pe_a, buf_a) = {

@@ -3,11 +3,18 @@
 //! AIrchitect v2 encoder and decoder.
 //!
 //! Modules are plain structs holding [`ParamId`]s; `forward` records ops
-//! onto a [`Graph`]. Constructing a module registers its parameters in the
-//! given [`ParamStore`] under `"{prefix}.{field}"` names, which become the
-//! checkpoint keys.
+//! onto a [`Graph`] for training. `infer` computes the same function
+//! without a tape: it reads the weights in place from the [`ParamStore`]
+//! (or from int8 [`QuantizedLinear`] views), writes into caller-held
+//! buffers, and runs the same kernels in the same per-element order as
+//! the tape; only its layer norm rounds once where the tape's rounds
+//! twice. Constructing a module registers its
+//! parameters in the given [`ParamStore`] under `"{prefix}.{field}"`
+//! names, which become the checkpoint keys.
 
-use crate::graph::{Graph, VarId};
+use ai2_tensor::kernel;
+
+use crate::graph::{attend, Graph, VarId};
 use crate::params::{ParamId, ParamStore};
 use crate::quant::{
     QuantError, QuantSource, QuantizedAttention, QuantizedBlock, QuantizedFeedForward,
@@ -56,6 +63,44 @@ impl Linear {
         }
     }
 
+    /// `out = x W` for `rows` rows of `x`, through int8 weights when `q`
+    /// is given (`qrow` is the int8 activation scratch).
+    fn matmul_into(
+        &self,
+        store: &ParamStore,
+        q: Option<&QuantizedLinear>,
+        x: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        qrow: &mut Vec<i8>,
+    ) {
+        match q {
+            Some(q) => q.forward_into(x, rows, out, qrow),
+            None => {
+                out.fill(0.0);
+                let w = store.get(self.w).as_slice();
+                kernel::gemm(kernel::active(), x, w, out, rows, self.in_dim, self.out_dim);
+            }
+        }
+    }
+
+    /// Inference forward: `out = x W (+ b)` over `rows` rows, with int8
+    /// weights when `q` is given (the bias stays `f32`).
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        q: Option<&QuantizedLinear>,
+        x: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        qrow: &mut Vec<i8>,
+    ) {
+        self.matmul_into(store, q, x, rows, out, qrow);
+        if let Some(b) = self.b {
+            add_row_in_place(out, store.get(b).as_slice());
+        }
+    }
+
     /// Input feature count.
     pub fn in_dim(&self) -> usize {
         self.in_dim
@@ -93,17 +138,13 @@ impl Linear {
         }
         Ok(q)
     }
+}
 
-    /// Applies the layer with an int8 weight (`q`) in place of the `f32`
-    /// matmul; the bias, when present, stays `f32`.
-    pub fn forward_quant(&self, g: &mut Graph<'_>, x: VarId, q: &QuantizedLinear) -> VarId {
-        let y = g.quant_linear(x, q);
-        match self.b {
-            Some(b) => {
-                let bv = g.param(b);
-                g.add_row(y, bv)
-            }
-            None => y,
+/// Adds `bias` to every `bias.len()`-wide row of `x`.
+pub fn add_row_in_place(x: &mut [f32], bias: &[f32]) {
+    for row in x.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
         }
     }
 }
@@ -131,6 +172,20 @@ impl LayerNorm {
         let gamma = g.param(self.gamma);
         let beta = g.param(self.beta);
         g.layer_norm(x, gamma, beta, self.eps)
+    }
+
+    /// Inference forward: normalises each row of `x` into `out`.
+    pub fn infer(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let kn = kernel::active();
+        let gm = store.get(self.gamma).as_slice();
+        let bt = store.get(self.beta).as_slice();
+        let c = gm.len();
+        for (row, orow) in x.chunks_exact(c).zip(out.chunks_exact_mut(c)) {
+            let mu = kernel::sum(kn, row) / c as f32;
+            let var = kernel::sq_dev_sum(kn, row, mu) / c as f32;
+            let is = 1.0 / (var + self.eps).sqrt();
+            kernel::layernorm_row(kn, row, gm, bt, mu, is, orow);
+        }
     }
 }
 
@@ -213,12 +268,77 @@ impl FeedForward {
         })
     }
 
-    /// Applies both layers with int8 weights.
-    pub fn forward_quant(&self, g: &mut Graph<'_>, x: VarId, q: &QuantizedFeedForward) -> VarId {
-        let h = self.lin1.forward_quant(g, x, &q.l1);
-        let h = self.act.apply(g, h);
-        self.lin2.forward_quant(g, h, &q.l2)
+    /// Inference forward of `rows` rows into `out`, with int8 weights
+    /// when `q` is given. The first layer's bias and the activation run
+    /// in one pass over each row of its output.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the activation is GELU (the transformer blocks' FFN).
+    pub(crate) fn infer(
+        &self,
+        store: &ParamStore,
+        q: Option<&QuantizedFeedForward>,
+        x: &[f32],
+        rows: usize,
+        out: &mut [f32],
+        s: &mut FeedForwardScratch,
+    ) {
+        assert_eq!(self.act, Activation::Gelu, "FeedForward::infer: GELU only");
+        let hd = self.lin1.out_dim;
+        let pre = grown(&mut s.pre, rows * hd);
+        let act = grown(&mut s.act, rows * hd);
+        self.lin1
+            .matmul_into(store, q.map(|q| &q.l1), x, rows, pre, &mut s.qrow);
+        let kn = kernel::active();
+        let b1 = self.lin1.b.map(|b| store.get(b).as_slice());
+        for (prow, arow) in pre.chunks_exact_mut(hd).zip(act.chunks_exact_mut(hd)) {
+            if let Some(b1) = b1 {
+                add_row_in_place(prow, b1);
+            }
+            kernel::gelu_to(kn, prow, arow);
+        }
+        self.lin2
+            .infer(store, q.map(|q| &q.l2), act, rows, out, &mut s.qrow);
     }
+}
+
+/// The first `len` values of `buf`, growing it when it is shorter (warm
+/// calls reuse the allocation). The contents are stale: callers
+/// overwrite every value.
+pub fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Activation buffers of [`FeedForward::infer`].
+#[derive(Debug, Default)]
+pub(crate) struct FeedForwardScratch {
+    pre: Vec<f32>,
+    act: Vec<f32>,
+    qrow: Vec<i8>,
+}
+
+/// Activation buffers of [`MultiHeadSelfAttention::infer`].
+#[derive(Debug, Default)]
+pub(crate) struct AttentionScratch {
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    att: Vec<f32>,
+    scores: Vec<f32>,
+    qrow: Vec<i8>,
+}
+
+/// Activation buffers of [`TransformerBlock::infer`].
+#[derive(Debug, Default)]
+pub struct BlockScratch {
+    normed: Vec<f32>,
+    branch: Vec<f32>,
+    attn: AttentionScratch,
+    ffn: FeedForwardScratch,
 }
 
 /// Multi-head self-attention with learned Q/K/V/output projections.
@@ -280,21 +400,35 @@ impl MultiHeadSelfAttention {
         })
     }
 
-    /// Attention with int8 projection weights (the softmax·V core stays
-    /// `f32`).
-    pub fn forward_quant(
+    /// Inference forward of `[batch·tokens, d_model]` rows into `out`,
+    /// with int8 projection weights when `qw` is given (the softmax·V
+    /// core stays `f32`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn infer(
         &self,
-        g: &mut Graph<'_>,
-        x: VarId,
+        store: &ParamStore,
+        qw: Option<&QuantizedAttention>,
+        x: &[f32],
         batch: usize,
         tokens: usize,
-        qw: &QuantizedAttention,
-    ) -> VarId {
-        let q = self.wq.forward_quant(g, x, &qw.wq);
-        let k = self.wk.forward_quant(g, x, &qw.wk);
-        let v = self.wv.forward_quant(g, x, &qw.wv);
-        let a = g.attention(q, k, v, batch, self.heads, tokens);
-        self.wo.forward_quant(g, a, &qw.wo)
+        out: &mut [f32],
+        s: &mut AttentionScratch,
+    ) {
+        let rows = batch * tokens;
+        let n = rows * self.wq.out_dim;
+        let (q, k, v) = (grown(&mut s.q, n), grown(&mut s.k, n), grown(&mut s.v, n));
+        self.wq
+            .infer(store, qw.map(|w| &w.wq), x, rows, q, &mut s.qrow);
+        self.wk
+            .infer(store, qw.map(|w| &w.wk), x, rows, k, &mut s.qrow);
+        self.wv
+            .infer(store, qw.map(|w| &w.wv), x, rows, v, &mut s.qrow);
+        let att = grown(&mut s.att, n);
+        att.fill(0.0);
+        let scores = grown(&mut s.scores, tokens);
+        attend(q, k, v, [batch, self.heads, tokens], att, scores, None);
+        self.wo
+            .infer(store, qw.map(|w| &w.wo), att, rows, out, &mut s.qrow);
     }
 }
 
@@ -355,21 +489,42 @@ impl TransformerBlock {
         })
     }
 
-    /// Applies the block with int8 matmul weights.
-    pub fn forward_quant(
+    /// Inference forward: updates the `[batch·tokens, d_model]` residual
+    /// stream `x` in place, with int8 matmul weights when `q` is given.
+    pub fn infer(
         &self,
-        g: &mut Graph<'_>,
-        x: VarId,
+        store: &ParamStore,
+        q: Option<&QuantizedBlock>,
+        x: &mut [f32],
         batch: usize,
         tokens: usize,
-        q: &QuantizedBlock,
-    ) -> VarId {
-        let h = self.ln1.forward(g, x);
-        let h = self.attn.forward_quant(g, h, batch, tokens, &q.attn);
-        let x = g.add(x, h);
-        let h = self.ln2.forward(g, x);
-        let h = self.ffn.forward_quant(g, h, &q.ffn);
-        g.add(x, h)
+        s: &mut BlockScratch,
+    ) {
+        let rows = batch * tokens;
+        let normed = grown(&mut s.normed, x.len());
+        let branch = grown(&mut s.branch, x.len());
+        self.ln1.infer(store, x, normed);
+        self.attn.infer(
+            store,
+            q.map(|q| &q.attn),
+            normed,
+            batch,
+            tokens,
+            branch,
+            &mut s.attn,
+        );
+        add_in_place(x, branch);
+        self.ln2.infer(store, x, normed);
+        self.ffn
+            .infer(store, q.map(|q| &q.ffn), normed, rows, branch, &mut s.ffn);
+        add_in_place(x, branch);
+    }
+}
+
+/// `x += y`, elementwise.
+fn add_in_place(x: &mut [f32], y: &[f32]) {
+    for (a, &b) in x.iter_mut().zip(y) {
+        *a += b;
     }
 }
 
@@ -465,6 +620,51 @@ mod tests {
         assert_eq!(g.value(y).shape(), &[5, 2]);
         // 3 linear layers → 6 parameters
         assert_eq!(s.len(), 6);
+    }
+
+    #[test]
+    fn infer_matches_the_tape() {
+        let mut s = ParamStore::new(5);
+        let lin = Linear::new(&mut s, "lin", 8, 8, true);
+        let blk = TransformerBlock::new(&mut s, "blk", 8, 2);
+        // non-trivial biases, norm gains and offsets
+        let mut r = ai2_tensor::rng::seeded(6);
+        let ids: Vec<ParamId> = s.iter().map(|(id, _, _)| id).collect();
+        for id in ids {
+            let p = s.get_mut(id);
+            *p = p.add(&ai2_tensor::rng::rand_uniform(&mut r, p.shape(), -0.3, 0.3));
+        }
+        let (batch, tokens) = (3, 4);
+        let x = ai2_tensor::rng::rand_uniform(&mut r, &[batch * tokens, 8], -1.0, 1.0);
+        let mut g = Graph::new(&s);
+        let xv = g.constant(x.clone());
+        let want_lin = lin.forward(&mut g, xv);
+        let want_blk = blk.forward(&mut g, xv, batch, tokens);
+
+        // a linear layer is the same GEMM and bias add: bit-identical
+        let mut got = vec![0.0f32; x.len()];
+        lin.infer(
+            &s,
+            None,
+            x.as_slice(),
+            batch * tokens,
+            &mut got,
+            &mut Vec::new(),
+        );
+        assert_eq!(got, g.value(want_lin).as_slice());
+
+        // a block differs only by the tape's two-step layer-norm rounding
+        let mut got = x.as_slice().to_vec();
+        blk.infer(
+            &s,
+            None,
+            &mut got,
+            batch,
+            tokens,
+            &mut BlockScratch::default(),
+        );
+        let got = Tensor::from_vec(got, x.shape()).unwrap();
+        assert!(got.max_abs_diff(g.value(want_blk)) <= 1e-5);
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //! * [`Graph`] is a per-step tape. A forward pass records nodes; calling
 //!   [`Graph::backward`] walks the tape in reverse and returns a
 //!   [`Gradients`] map from parameter to gradient tensor.
-//! * [`Arena`] is a recycled buffer pool for inference:
-//!   [`Graph::with_arena`] builds a gradient-free tape whose activations
-//!   live in pooled storage, and [`Graph::into_arena`] hands the storage
-//!   back so steady-state serving performs no per-batch heap allocation.
 //! * [`layers`] provides [`layers::Linear`], [`layers::LayerNorm`],
 //!   [`layers::MultiHeadSelfAttention`], [`layers::FeedForward`] and
 //!   [`layers::TransformerBlock`] (pre-norm residual blocks as used by the
-//!   paper's encoder and decoder).
+//!   paper's encoder and decoder). Each has a `forward` that records onto
+//!   a [`Graph`] for training and an `infer` that serves without a tape:
+//!   it reads the weights in place from the [`ParamStore`] (or from int8
+//!   [`quant::QuantizedLinear`] views) and writes into caller-held
+//!   buffers ([`layers::BlockScratch`]), so a warm inference pass
+//!   performs no heap allocation. `infer` runs the same kernels in the
+//!   same accumulation order as the tape, so both agree to the rounding
+//!   of the tape's two-step layer norm.
 //! * [`optim`] provides SGD and Adam with learning-rate schedules.
 //! * Losses include the paper's three specials: the supervised infoNCE
 //!   contrastive loss (Eq. 1), the L1 performance-prediction loss, and the
@@ -52,5 +55,5 @@ pub mod layers;
 pub mod optim;
 pub mod quant;
 
-pub use graph::{Arena, Gradients, Graph, VarId};
+pub use graph::{sigmoid, Gradients, Graph, VarId};
 pub use params::{ParamId, ParamStore};

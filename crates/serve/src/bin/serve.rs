@@ -43,6 +43,7 @@
 use std::sync::Arc;
 
 use ai2_dse::{DseDataset, DseTask, EvalEngine, GenerateConfig, PipelineSet, PipelinesFile};
+use ai2_serve::cli::Cli;
 use ai2_serve::{OverloadPolicy, RecommendService, RefreshConfig, ServeConfig};
 use airchitect::train::TrainConfig;
 use airchitect::{Airchitect2, ModelCheckpoint, ModelConfig};
@@ -59,6 +60,18 @@ struct Args {
     trace_out: Option<String>,
 }
 
+const USAGE: &str = "\
+usage: serve [--port N] [--frontend threads|event] [--event-threads N]
+             [--shed-high-water N] [--shards N] [--max-batch N] [--cache N]
+             [--samples N] [--seed N] [--quick] [--checkpoint PATH]
+             [--save-checkpoint PATH] [--refresh-secs N] [--pipelines FILE]
+             [--trace-out FILE]
+
+Trains a model (or loads --checkpoint), serves recommendations over TCP
+and prints SERVE_ADDR=HOST:PORT on stdout. See the crate docs of
+src/bin/serve.rs for what each flag does.
+";
+
 fn parse_args() -> Args {
     let mut args = Args {
         port: 0,
@@ -71,72 +84,56 @@ fn parse_args() -> Args {
         save_checkpoint: None,
         trace_out: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i)
-            .unwrap_or_else(|| panic!("{} takes a value", argv[*i - 1]))
-            .clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--port" => args.port = value(&mut i).parse().expect("--port takes a port number"),
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--port" => args.port = cli.parse(&flag),
             "--frontend" => {
-                args.frontend = value(&mut i);
-                assert!(
-                    args.frontend == "threads" || args.frontend == "event",
-                    "--frontend takes \"threads\" or \"event\", not {:?}",
-                    args.frontend
-                );
+                args.frontend = cli.value(&flag);
+                if args.frontend != "threads" && args.frontend != "event" {
+                    cli.fail(format!(
+                        "--frontend takes \"threads\" or \"event\", not {:?}",
+                        args.frontend
+                    ));
+                }
             }
-            "--event-threads" => {
-                args.event_threads = value(&mut i)
-                    .parse()
-                    .expect("--event-threads takes a count");
-            }
+            "--event-threads" => args.event_threads = cli.parse(&flag),
             "--shed-high-water" => {
-                let high_water: usize = value(&mut i)
-                    .parse()
-                    .expect("--shed-high-water takes a queue depth");
+                let high_water: usize = cli.parse(&flag);
                 args.cfg.overload = if high_water > 0 {
                     OverloadPolicy::Shed { high_water }
                 } else {
                     OverloadPolicy::Queue
                 };
             }
-            "--shards" => args.cfg.shards = value(&mut i).parse().expect("--shards takes a count"),
-            "--max-batch" => {
-                args.cfg.max_batch = value(&mut i).parse().expect("--max-batch takes a count");
-            }
-            "--cache" => {
-                args.cfg.cache_capacity = value(&mut i).parse().expect("--cache takes a count");
-            }
-            "--samples" => args.samples = value(&mut i).parse().expect("--samples takes a count"),
-            "--seed" => args.seed = value(&mut i).parse().expect("--seed takes a number"),
+            "--shards" => args.cfg.shards = cli.parse(&flag),
+            "--max-batch" => args.cfg.max_batch = cli.parse(&flag),
+            "--cache" => args.cfg.cache_capacity = cli.parse(&flag),
+            "--samples" => args.samples = cli.parse(&flag),
+            "--seed" => args.seed = cli.parse(&flag),
             "--quick" => args.samples = 300,
-            "--checkpoint" => args.checkpoint = Some(value(&mut i)),
-            "--save-checkpoint" => args.save_checkpoint = Some(value(&mut i)),
-            "--trace-out" => args.trace_out = Some(value(&mut i)),
+            "--checkpoint" => args.checkpoint = Some(cli.value(&flag)),
+            "--save-checkpoint" => args.save_checkpoint = Some(cli.value(&flag)),
+            "--trace-out" => args.trace_out = Some(cli.value(&flag)),
             "--refresh-secs" => {
-                let secs: u64 = value(&mut i).parse().expect("--refresh-secs takes seconds");
+                let secs: u64 = cli.parse(&flag);
                 args.cfg.refresh = Some(RefreshConfig {
                     interval: std::time::Duration::from_secs(secs),
                     ..RefreshConfig::default()
                 });
             }
             "--pipelines" => {
-                let path = value(&mut i);
-                let body = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("--pipelines: cannot read {path:?}: {e}"));
+                let path = cli.value(&flag);
+                let body = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    cli.fail(format!("--pipelines: cannot read {path:?}: {e}"))
+                });
                 let file: PipelinesFile = serde_json::from_str(&body)
-                    .unwrap_or_else(|e| panic!("--pipelines: {path:?}: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--pipelines: {path:?}: {e}")));
                 args.cfg.pipelines = PipelineSet::with(&file.pipelines)
-                    .unwrap_or_else(|e| panic!("--pipelines: {path:?}: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--pipelines: {path:?}: {e}")));
             }
-            other => panic!("unknown argument {other:?} (see src/bin/serve.rs for usage)"),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
     args
 }

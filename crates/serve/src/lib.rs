@@ -81,6 +81,7 @@
 //! ```
 
 pub mod cache;
+pub mod cli;
 pub mod clock;
 pub mod event;
 pub mod metrics;

@@ -74,11 +74,25 @@ impl Standardizer {
         assert_eq!(d, self.mean.len(), "Standardizer: feature count mismatch");
         let mut out = data.clone();
         for i in 0..n {
-            for (j, x) in out.row_mut(i).iter_mut().enumerate() {
-                *x = (*x - self.mean[j]) / self.std[j];
-            }
+            self.transform_row(out.row_mut(i));
         }
         out
+    }
+
+    /// Applies the transform to one row in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from the fitted feature count.
+    pub fn transform_row(&self, row: &mut [f32]) {
+        assert_eq!(
+            row.len(),
+            self.mean.len(),
+            "Standardizer: feature count mismatch"
+        );
+        for ((x, &mu), &sd) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+            *x = (*x - mu) / sd;
+        }
     }
 
     /// Inverts the transform for a single row.

@@ -208,20 +208,13 @@ impl Tensor {
         self.data
     }
 
-    /// Allocated capacity of the underlying flat buffer, in elements.
-    ///
-    /// Used by the inference arena to pick a recycled buffer that can hold
-    /// a requested shape without reallocating.
-    pub fn data_capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Reshapes this tensor in place to `shape`, zero-filled, reusing the
     /// existing allocations whenever their capacity suffices.
     ///
-    /// This is the arena recycling primitive: after `reset_zeros` the
-    /// tensor is indistinguishable from `Tensor::zeros(shape)`, but no heap
-    /// traffic occurred if the buffer and shape vector were large enough.
+    /// After `reset_zeros` the tensor is indistinguishable from
+    /// `Tensor::zeros(shape)`, but no heap traffic occurred if the buffer
+    /// and shape vector were large enough — how inference workspaces are
+    /// reused across batches.
     pub fn reset_zeros(&mut self, shape: &[usize]) {
         let len = shape.iter().product();
         self.data.clear();

@@ -37,10 +37,33 @@ pub trait ConfigCodec {
 /// Algorithm 1, implemented as a least-squares fit of the coordinate:
 /// the recovered `t` simultaneously classifies the bucket (its integer
 /// part) and regresses the position within it (its fraction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UovCodec {
     disc: Discretization,
     beta: f32,
+    /// Clean encodings of the decoder's `10K + 1` coarse grid points
+    /// `t_s = s·K / 10K`, bucket-major: `coarse[i·S + s]` is bucket `i`
+    /// of the encoding of `t_s`, with `S` the point count rounded up to
+    /// whole [`LANES`] groups (padding is +∞, which never wins the fit).
+    /// Built with the same expression as [`ConfigCodec::encode`], so a
+    /// lookup equals the value the fit would compute.
+    coarse: Vec<f32>,
+}
+
+/// Coarse grid points scored together; each lane accumulates its own
+/// residual in bucket order, so the result matches a point-by-point
+/// scan bit for bit.
+const LANES: usize = 8;
+
+/// Algorithm 1's ordinal value of the bucket anchored at `r` for the
+/// coordinate `t`.
+#[inline]
+fn ordinal(beta: f32, t: f32, r: f32) -> f32 {
+    if t >= r {
+        1.0 - (-beta * (t - r)).exp()
+    } else {
+        0.0
+    }
 }
 
 impl UovCodec {
@@ -59,10 +82,35 @@ impl UovCodec {
 
     /// UOV codec with an explicit discretization kind.
     pub fn with_kind(kind: DiscretizationKind, num_buckets: usize, num_choices: usize) -> Self {
-        UovCodec {
-            disc: Discretization::new(kind, num_buckets, num_choices),
-            beta: Self::DEFAULT_BETA,
+        Self::build(
+            Discretization::new(kind, num_buckets, num_choices),
+            Self::DEFAULT_BETA,
+        )
+    }
+
+    fn build(disc: Discretization, beta: f32) -> Self {
+        let k = disc.num_buckets();
+        let steps = Self::coarse_steps(k);
+        let points = Self::padded_points(k);
+        let mut coarse = vec![f32::INFINITY; k * points];
+        for (i, row) in coarse.chunks_exact_mut(points).enumerate() {
+            for (s, o) in row.iter_mut().enumerate().take(steps + 1) {
+                let t = s as f32 * k as f32 / steps as f32;
+                *o = ordinal(beta, t, i as f32);
+            }
         }
+        UovCodec { disc, beta, coarse }
+    }
+
+    /// Intervals of the decoder's coarse grid over `[0, K]`.
+    fn coarse_steps(k: usize) -> usize {
+        (k * 10).max(10)
+    }
+
+    /// Coarse grid points per bucket row of the table, padded to whole
+    /// lane groups.
+    fn padded_points(k: usize) -> usize {
+        (Self::coarse_steps(k) + 1).div_ceil(LANES) * LANES
     }
 
     /// Overrides the decay sharpness `β`.
@@ -70,10 +118,9 @@ impl UovCodec {
     /// # Panics
     ///
     /// Panics unless `beta > 0`.
-    pub fn with_beta(mut self, beta: f32) -> Self {
+    pub fn with_beta(self, beta: f32) -> Self {
         assert!(beta > 0.0, "UovCodec: beta must be positive");
-        self.beta = beta;
-        self
+        Self::build(self.disc, beta)
     }
 
     /// The underlying discretization.
@@ -105,14 +152,7 @@ impl ConfigCodec for UovCodec {
     fn encode(&self, index: usize) -> Vec<f32> {
         let t = self.disc.coordinate_of(index);
         (0..self.disc.num_buckets())
-            .map(|i| {
-                let r = i as f32;
-                if t >= r {
-                    1.0 - (-self.beta * (t - r)).exp()
-                } else {
-                    0.0
-                }
-            })
+            .map(|i| ordinal(self.beta, t, i as f32))
             .collect()
     }
 
@@ -130,40 +170,50 @@ impl ConfigCodec for UovCodec {
         // in) and the regression (where inside it) and is robust to
         // noisy head outputs.
         let k = self.disc.num_buckets();
-        let residual = |t: f32| -> f32 {
-            let mut acc = 0.0f32;
-            for (i, &u) in prediction.iter().enumerate() {
-                let r = i as f32;
-                let o = if t >= r {
-                    1.0 - (-self.beta * (t - r)).exp()
-                } else {
-                    0.0
-                };
-                let d = u.clamp(0.0, 1.0) - o;
-                acc += d * d;
-            }
-            acc
-        };
-        // coarse grid then local refinement
-        let mut best_t = 0.0f32;
+        // Coarse grid (tabulated encodings) then local refinement. Both
+        // accumulate each residual in bucket order and keep the first
+        // strict minimum.
+        let steps = Self::coarse_steps(k);
+        let points = Self::padded_points(k);
+        let mut best_s = 0usize;
         let mut best_r = f32::INFINITY;
-        let coarse = (k * 10).max(10);
-        for s in 0..=coarse {
-            let t = s as f32 * k as f32 / coarse as f32;
-            let r = residual(t);
-            if r < best_r {
-                best_r = r;
-                best_t = t;
+        for s0 in (0..points).step_by(LANES) {
+            let mut acc = [0.0f32; LANES];
+            for (row, &u) in self.coarse.chunks_exact(points).zip(prediction) {
+                let u = u.clamp(0.0, 1.0);
+                for (a, &o) in acc.iter_mut().zip(&row[s0..s0 + LANES]) {
+                    let d = u - o;
+                    *a += d * d;
+                }
+            }
+            for (l, &r) in acc.iter().enumerate() {
+                if r < best_r {
+                    best_r = r;
+                    best_s = s0 + l;
+                }
             }
         }
-        let step = k as f32 / coarse as f32;
+        let mut best_t = best_s as f32 * k as f32 / steps as f32;
+        let step = k as f32 / steps as f32;
         let (lo, hi) = (best_t - step, best_t + step);
+        let refine_t = |s: usize| lo + (hi - lo) * s as f32 / 40.0;
+        // Every refine point lies in [max(lo, 0), refine_t(40)] and so does
+        // the coarse winner; `index_of_coordinate` is monotone, so when both
+        // ends map to one choice the refinement cannot change the answer.
+        let first = self.disc.index_of_coordinate(lo.max(0.0));
+        if first == self.disc.index_of_coordinate(refine_t(40).max(best_t)) {
+            return first;
+        }
         for s in 0..=40 {
-            let t = lo + (hi - lo) * s as f32 / 40.0;
+            let t = refine_t(s);
             if t < 0.0 {
                 continue;
             }
-            let r = residual(t);
+            let mut r = 0.0f32;
+            for (i, &u) in prediction.iter().enumerate() {
+                let d = u.clamp(0.0, 1.0) - ordinal(self.beta, t, i as f32);
+                r += d * d;
+            }
             if r < best_r {
                 best_r = r;
                 best_t = t;

@@ -196,3 +196,95 @@ fn one_hot_and_regression_roundtrip() {
         assert_eq!(rg.decode(&rg.encode(idx)), idx);
     }
 }
+
+/// The direct grid-search decode the codec's tabulated decode must
+/// reproduce: every coarse point's clean encoding is computed on the fly.
+fn reference_decode(codec: &UovCodec, beta: f32, prediction: &[f32]) -> usize {
+    let disc = codec.discretization();
+    let k = disc.num_buckets();
+    let residual = |t: f32| -> f32 {
+        let mut acc = 0.0f32;
+        for (i, &u) in prediction.iter().enumerate() {
+            let r = i as f32;
+            let o = if t >= r {
+                1.0 - (-beta * (t - r)).exp()
+            } else {
+                0.0
+            };
+            let d = u.clamp(0.0, 1.0) - o;
+            acc += d * d;
+        }
+        acc
+    };
+    let mut best_t = 0.0f32;
+    let mut best_r = f32::INFINITY;
+    let coarse = (k * 10).max(10);
+    for s in 0..=coarse {
+        let t = s as f32 * k as f32 / coarse as f32;
+        let r = residual(t);
+        if r < best_r {
+            best_r = r;
+            best_t = t;
+        }
+    }
+    let step = k as f32 / coarse as f32;
+    let (lo, hi) = (best_t - step, best_t + step);
+    for s in 0..=40 {
+        let t = lo + (hi - lo) * s as f32 / 40.0;
+        if t < 0.0 {
+            continue;
+        }
+        let r = residual(t);
+        if r < best_r {
+            best_r = r;
+            best_t = t;
+        }
+    }
+    disc.index_of_coordinate(best_t)
+}
+
+#[test]
+fn tabulated_decode_matches_reference_grid_search() {
+    let mut g = Lcg(0x0078);
+    for k in [1usize, 4, 12, 16, 32] {
+        for kind in [
+            DiscretizationKind::Uniform,
+            DiscretizationKind::SpaceIncreasing,
+        ] {
+            for beta in [UovCodec::DEFAULT_BETA, 0.7] {
+                let c = g.range(k.max(2), 97);
+                let codec = UovCodec::with_kind(kind, k, c).with_beta(beta);
+                let w = codec.width();
+                let check = |v: &[f32]| {
+                    assert_eq!(
+                        codec.decode(v),
+                        reference_decode(&codec, beta, v),
+                        "kind {kind:?} k {k} c {c} beta {beta} prediction {v:?}"
+                    );
+                };
+                for _ in 0..CASES {
+                    // seeded random head outputs, including values outside
+                    // [0, 1] that the decoder clamps
+                    let v: Vec<f32> = (0..w).map(|_| g.frac() as f32 * 1.2 - 0.1).collect();
+                    check(&v);
+                    // noisy clean encodings
+                    let idx = pick_idx(&mut g, c);
+                    let mut v = codec.encode(idx);
+                    for x in &mut v {
+                        *x += (g.frac() as f32 - 0.5) * 0.2;
+                    }
+                    check(&v);
+                    // monotone (non-increasing) sigmoid-like outputs
+                    let mut level = 1.0f32;
+                    let v: Vec<f32> = (0..w)
+                        .map(|_| {
+                            level *= g.frac() as f32;
+                            level
+                        })
+                        .collect();
+                    check(&v);
+                }
+            }
+        }
+    }
+}
