@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use ai2_maestro::{AcceleratorConfig, CostModel};
 use ai2_systolic::{ArrayConfig, GemmSimulation};
@@ -360,10 +360,10 @@ struct CascadeGrid {
 ///    by the [`CascadeConfig::max_escalated`] budget so no workload
 ///    degenerates into a full systolic sweep.
 ///
-/// Per-input staged grids are memoized (bounded); racing computes are
-/// deterministic, so duplicated work returns identical results. The
-/// `fidelity` binary measures the policy: cascade regret vs pure
-/// systolic at the fraction of the grid escalated.
+/// Per-input staged grids are memoized (bounded), and concurrent queries
+/// for one input wait for a single build instead of duplicating its
+/// systolic work. The `fidelity` binary measures the policy: cascade
+/// regret vs pure systolic at the fraction of the grid escalated.
 ///
 /// Hardware outside the construction task's design space has no
 /// frontier to calibrate against and falls back to the plain analytic
@@ -380,7 +380,9 @@ pub struct CascadeBackend {
     /// `(num_pes, l2_bytes)` → flat grid index of the construction
     /// task's space.
     by_config: HashMap<(u32, u64), usize>,
-    memo: RwLock<HashMap<DseInput, Arc<CascadeGrid>>>,
+    /// Per-input build slots: the first query for an input builds its
+    /// grid, concurrent ones wait on the same slot.
+    memo: RwLock<HashMap<DseInput, Arc<OnceLock<Arc<CascadeGrid>>>>>,
     memo_capacity: usize,
     /// True systolic point evaluations spent across all grid builds.
     systolic_evals: AtomicU64,
@@ -498,21 +500,28 @@ impl CascadeBackend {
     }
 
     /// The memoized staged grid for `input`, computing (and caching,
-    /// capacity permitting) on first sight. Racing computes produce
-    /// identical grids — every step is deterministic.
+    /// capacity permitting) on first sight. Concurrent first queries
+    /// share one build; past the memo capacity each query builds its
+    /// own (identical — every step is deterministic) grid.
     fn grid(&self, input: &DseInput) -> Arc<CascadeGrid> {
-        if let Some(g) = self.memo.read().expect("cascade memo poisoned").get(input) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(self.compute_grid(input));
-        let mut memo = self.memo.write().expect("cascade memo poisoned");
-        if let Some(existing) = memo.get(input) {
-            return Arc::clone(existing);
-        }
-        if memo.len() < self.memo_capacity {
-            memo.insert(*input, Arc::clone(&g));
-        }
-        g
+        let cached = self
+            .memo
+            .read()
+            .expect("cascade memo poisoned")
+            .get(input)
+            .cloned();
+        let slot = cached.unwrap_or_else(|| {
+            let mut memo = self.memo.write().expect("cascade memo poisoned");
+            if let Some(existing) = memo.get(input) {
+                return Arc::clone(existing);
+            }
+            let slot = Arc::new(OnceLock::new());
+            if memo.len() < self.memo_capacity {
+                memo.insert(*input, Arc::clone(&slot));
+            }
+            slot
+        });
+        Arc::clone(slot.get_or_init(|| Arc::new(self.compute_grid(input))))
     }
 
     /// Prefilter + escalate + calibrate + verify, in deterministic order.

@@ -4,20 +4,32 @@
 //! unbounded sample `Vec`), and the disabled tracing path — what every
 //! kernel call pays when no trace is being captured — is
 //! allocation-free too.
+//!
+//! The allocator counts per thread: the test harness runs tests (and
+//! prints their failures) on other threads, and their allocations must
+//! not land in the count of the test being measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use ai2_obs::{local_span, Registry, TimeSource, Tracer, NO_PARENT};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialized and without a destructor: touching it never
+    // allocates, so the allocator can count through it
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -26,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -34,8 +46,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! The standalone recommendation server.
 //!
 //! Trains a model (or loads a checkpoint), starts the sharded service,
-//! binds the NDJSON TCP endpoint and prints one machine-readable line
+//! binds the NDJSON TCP endpoint (one acceptor plus two event-loop
+//! threads multiplexing every connection) and prints one
+//! machine-readable line
 //!
 //! ```text
 //! SERVE_ADDR=127.0.0.1:PORT
@@ -12,12 +14,6 @@
 //!
 //! ```text
 //! serve [--port N]            listen port (default 0 = ephemeral)
-//!       [--frontend NAME]     connection front end: "threads" (default,
-//!                             thread per connection) or "event" (one
-//!                             acceptor + N event-loop threads
-//!                             multiplexing every connection)
-//!       [--event-threads N]   event-loop threads with --frontend event
-//!                             (default 2)
 //!       [--shed-high-water N] shed admission control: refuse new
 //!                             recommendations inline once the queue
 //!                             holds N (default 0 = queue unboundedly)
@@ -50,8 +46,6 @@ use airchitect::{Airchitect2, ModelCheckpoint, ModelConfig};
 
 struct Args {
     port: u16,
-    frontend: String,
-    event_threads: usize,
     cfg: ServeConfig,
     samples: usize,
     seed: u64,
@@ -61,11 +55,10 @@ struct Args {
 }
 
 const USAGE: &str = "\
-usage: serve [--port N] [--frontend threads|event] [--event-threads N]
-             [--shed-high-water N] [--shards N] [--max-batch N] [--cache N]
-             [--samples N] [--seed N] [--quick] [--checkpoint PATH]
-             [--save-checkpoint PATH] [--refresh-secs N] [--pipelines FILE]
-             [--trace-out FILE]
+usage: serve [--port N] [--shed-high-water N] [--shards N] [--max-batch N]
+             [--cache N] [--samples N] [--seed N] [--quick]
+             [--checkpoint PATH] [--save-checkpoint PATH] [--refresh-secs N]
+             [--pipelines FILE] [--trace-out FILE]
 
 Trains a model (or loads --checkpoint), serves recommendations over TCP
 and prints SERVE_ADDR=HOST:PORT on stdout. See the crate docs of
@@ -75,8 +68,6 @@ src/bin/serve.rs for what each flag does.
 fn parse_args() -> Args {
     let mut args = Args {
         port: 0,
-        frontend: "threads".to_string(),
-        event_threads: 2,
         cfg: ServeConfig::default(),
         samples: 2000,
         seed: 0xA12C,
@@ -88,16 +79,6 @@ fn parse_args() -> Args {
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
             "--port" => args.port = cli.parse(&flag),
-            "--frontend" => {
-                args.frontend = cli.value(&flag);
-                if args.frontend != "threads" && args.frontend != "event" {
-                    cli.fail(format!(
-                        "--frontend takes \"threads\" or \"event\", not {:?}",
-                        args.frontend
-                    ));
-                }
-            }
-            "--event-threads" => args.event_threads = cli.parse(&flag),
             "--shed-high-water" => {
                 let high_water: usize = cli.parse(&flag);
                 args.cfg.overload = if high_water > 0 {
@@ -182,18 +163,11 @@ fn main() {
     }
 
     let mut service = RecommendService::start(args.cfg.clone(), engine, ckpt);
-    let addr = if args.frontend == "event" {
-        service
-            .listen_event(("127.0.0.1", args.port), args.event_threads)
-            .expect("bind listen port")
-    } else {
-        service
-            .listen(("127.0.0.1", args.port))
-            .expect("bind listen port")
-    };
+    let addr = service
+        .listen(("127.0.0.1", args.port))
+        .expect("bind listen port");
     eprintln!(
-        "[serve] {} front end, {} shards, max batch {}, cache {} entries, pipelines [{}]{}{}",
-        args.frontend,
+        "[serve] {} shards, max batch {}, cache {} entries, pipelines [{}]{}{}",
         args.cfg.shards,
         args.cfg.max_batch,
         args.cfg.cache_capacity,

@@ -1,39 +1,40 @@
-//! The event-driven connection front end: one acceptor plus a small
-//! pool of event-loop threads multiplexing every connection through a
-//! readiness poller (`mini-poll`: epoll on Linux, `poll(2)` elsewhere).
+//! The TCP front end: one acceptor plus a small pool of event-loop
+//! threads multiplexing every connection through a readiness poller
+//! (`mini-poll`: epoll on Linux, `poll(2)` elsewhere).
 //!
-//! Where [`crate::TcpTransport`] spends a thread per connection — the
-//! right trade at tens of connections, ruinous at tens of thousands —
-//! this front end holds any number of mostly-idle connections with
-//! `1 + N` resident threads. Every line still dispatches through the
-//! exact same [`Endpoint`] seam, so the two front ends cannot diverge
-//! in decoding, admin handling, or error behavior; the serve binary
-//! selects between them with `--frontend {threads,event}`.
+//! Any number of mostly-idle connections costs `1 + N` resident
+//! threads, not a thread each. Every line dispatches through the
+//! [`Endpoint`] seam the in-process virtual transport also uses, so
+//! decoding, admin handling and error behavior are shared.
 //!
 //! Mechanics, per event loop:
 //!
-//! * **Reads** are nonblocking and level-triggered: on readiness a
-//!   connection is drained to `WouldBlock` into its per-connection read
-//!   buffer, then every complete (`\n`-terminated) line is dispatched.
-//!   Partial trailing bytes stay in the buffer across reads — the same
-//!   reassembly semantics the threaded front end gets from
-//!   `BufReader::read_line`, so a slow-loris client dribbling a request
-//!   byte-at-a-time is reassembled, never torn.
+//! * **Reads** are nonblocking and level-triggered: each readiness
+//!   event reads once into the connection's buffer, so one fast client
+//!   cannot hold a loop thread while its neighbors wait; bytes still in
+//!   the socket raise the next event. Every complete (`\n`-terminated)
+//!   line is then dispatched. Partial trailing bytes stay buffered
+//!   across reads, so a slow-loris client dribbling a request
+//!   byte-at-a-time is reassembled, never torn, and the newline search
+//!   resumes where the last one stopped instead of rescanning the line.
 //! * **Responses** stay in request order per connection: inline answers
 //!   and queued recommendations enter one reply queue, and the flush
 //!   stops at the first still-pending entry. A shard finishing a job
 //!   fires the loop's [`Waker`] (via [`Endpoint::handle_line_with_notify`]),
 //!   so completions are event-driven too — the loop never polls a
 //!   pending answer it was not told about.
-//! * **Write backpressure** is per-connection: outgoing bytes buffer in
-//!   a bounded outbox flushed as the socket accepts them; while the
-//!   outbox is over its high-water mark the connection's *read*
-//!   interest is parked, so a slow reader stalls only itself — never a
-//!   shard, never a neighbor.
+//! * **Backpressure** is per connection. A connection owing
+//!   `MAX_PENDING_REPLIES` replies stops dispatching buffered lines;
+//!   that, or an outbox over `OUTBOX_HIGH_WATER` bytes, parks its
+//!   *read* interest, so a client that pipelines without reading leaves
+//!   its excess in kernel socket buffers and stalls only itself — never
+//!   a shard, never a neighbor. Buffered lines are dispatched again as
+//!   replies complete, and a closing connection is dropped only once
+//!   none remains.
 //!
 //! Admission control under overload is not here: it lives at the
-//! [`Endpoint`] seam (`ServeConfig::overload`), where both front ends
-//! and the in-process client share it.
+//! [`Endpoint`] seam (`ServeConfig::overload`), which the in-process
+//! client shares.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -53,12 +54,20 @@ use crate::transport::{BoundAddr, Shutdown, Transport};
 /// write backpressure bound.
 const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 
+/// Replies a connection may owe before it stops dispatching buffered
+/// lines and parks its read interest — the per-connection bound on
+/// pipelined work held in server memory.
+const MAX_PENDING_REPLIES: usize = 8;
+
+/// Event-loop threads behind [`crate::RecommendService::listen`].
+pub(crate) const LOOP_THREADS: usize = 2;
+
 /// Poller token of each thread's waker (connections use `slab+1`).
 const TOKEN_WAKER: usize = 0;
 /// Acceptor-poller token of the listener.
 const TOKEN_LISTENER: usize = 1;
 
-/// The event-driven NDJSON-over-TCP front end. See the module docs.
+/// The NDJSON-over-TCP front end. See the module docs.
 pub struct EventTransport {
     addrs: Vec<SocketAddr>,
     listener: Option<TcpListener>,
@@ -105,11 +114,6 @@ impl EventTransport {
             acceptor_waker: None,
             loops: Vec::new(),
         })
-    }
-
-    /// The bound address (`None` before [`Transport::bind`]).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local
     }
 }
 
@@ -198,9 +202,8 @@ impl Transport for EventTransport {
     }
 }
 
-/// The acceptor: parked on its poller (no sleep-polling — the threaded
-/// front end's 10 ms accept nap does not exist here), it drains every
-/// pending accept on listener readiness and deals the streams
+/// The acceptor: parked on its poller (no sleep-polling), it drains
+/// every pending accept on listener readiness and deals the streams
 /// round-robin across the loop pool.
 fn accept_loop(
     endpoint: &Endpoint,
@@ -254,15 +257,20 @@ enum Reply {
 struct Conn {
     stream: TcpStream,
     /// Partial-line reassembly buffer: bytes read but not yet
-    /// newline-terminated survive here across reads.
+    /// dispatched survive here across reads.
     rbuf: Vec<u8>,
+    /// Leading bytes of `rbuf` known to hold no newline, so the search
+    /// for the next line's end resumes here instead of rescanning a
+    /// line that arrives over many reads.
+    scanned: usize,
     /// Encoded response bytes accepted from `replies` but not yet
     /// written to the socket.
     outbox: Vec<u8>,
     /// Responses in request order; flushing stops at the first entry
     /// still waiting on a shard.
     replies: VecDeque<Reply>,
-    /// EOF seen: close once every owed reply is flushed.
+    /// EOF seen: close once every buffered line is answered and every
+    /// owed reply is flushed.
     closing: bool,
     /// The (readable, writable) interest currently registered.
     interest: (bool, bool),
@@ -273,6 +281,7 @@ impl Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
             outbox: Vec::new(),
             replies: VecDeque::new(),
             closing: false,
@@ -283,6 +292,76 @@ impl Conn {
     /// Whether any reply is still owed by a shard.
     fn waiting(&self) -> bool {
         self.replies.iter().any(|r| matches!(r, Reply::Waiting(_)))
+    }
+
+    /// Whether the connection owes as many replies as it may: it neither
+    /// dispatches buffered lines nor reads until some are answered.
+    fn at_reply_cap(&self) -> bool {
+        self.replies.len() >= MAX_PENDING_REPLIES
+    }
+
+    /// One read of whatever the socket holds into `rbuf`; EOF or a read
+    /// error marks the connection closing.
+    fn read_once(&mut self, scratch: &mut [u8]) {
+        match (&self.stream).read(scratch) {
+            Ok(0) => self.closing = true,
+            Ok(n) => self.rbuf.extend_from_slice(&scratch[..n]),
+            // nothing read: level-triggered readiness brings the
+            // connection back on the next wait if bytes are pending
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.closing = true,
+        }
+    }
+
+    /// The index of the newline ending the first buffered line, if that
+    /// line is complete. Only bytes past `scanned` are searched.
+    fn line_end(&mut self) -> Option<usize> {
+        match self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(pos) => {
+                self.scanned += pos;
+                Some(self.scanned)
+            }
+            None => {
+                self.scanned = self.rbuf.len();
+                None
+            }
+        }
+    }
+
+    /// Dispatches buffered complete lines through the endpoint until
+    /// none remains or the connection is at its reply cap, moving
+    /// completed replies into the outbox as it goes.
+    fn dispatch(&mut self, endpoint: &Endpoint, notify: &NotifyFn) {
+        let mut start = 0usize;
+        loop {
+            self.collect_replies();
+            if self.at_reply_cap() {
+                break;
+            }
+            let Some(end) = self.line_end() else {
+                break;
+            };
+            let line = String::from_utf8_lossy(&self.rbuf[start..end]).into_owned();
+            start = end + 1;
+            self.scanned = start;
+            match endpoint.handle_line_with_notify(&line, Some(Arc::clone(notify))) {
+                Submission::Ignored => {}
+                Submission::Ready(resp) => {
+                    let mut bytes = encode_line(&resp).into_bytes();
+                    bytes.push(b'\n');
+                    self.replies.push_back(Reply::Done(bytes));
+                }
+                Submission::Queued(pending) => self.replies.push_back(Reply::Waiting(pending)),
+            }
+        }
+        if start > 0 {
+            self.rbuf.drain(..start);
+            self.scanned -= start;
+        }
     }
 
     /// Moves completed replies (in order) into the outbox.
@@ -326,11 +405,21 @@ impl Conn {
         true
     }
 
+    /// Whether the connection has nothing left to do: EOF seen, no
+    /// complete line buffered, no reply owed or unflushed.
+    fn finished(&mut self) -> bool {
+        self.closing
+            && self.outbox.is_empty()
+            && self.replies.is_empty()
+            && self.line_end().is_none()
+    }
+
     /// The interest this connection wants right now: writable while
-    /// bytes are owed, readable unless closing or over the outbox
-    /// high-water mark (the backpressure park).
+    /// bytes are owed, readable unless closing or parked by
+    /// backpressure (reply cap or outbox high-water mark).
     fn wanted_interest(&self) -> (bool, bool) {
-        let readable = !self.closing && self.outbox.len() < OUTBOX_HIGH_WATER;
+        let readable =
+            !self.closing && !self.at_reply_cap() && self.outbox.len() < OUTBOX_HIGH_WATER;
         let writable = !self.outbox.is_empty();
         (readable, writable)
     }
@@ -367,8 +456,8 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
             let Some(conn) = slab.get_mut(ev.token - 1).and_then(Option::as_mut) else {
                 continue;
             };
-            if ev.readable || ev.hangup {
-                read_and_dispatch(endpoint, &notify, conn, &mut scratch);
+            if (ev.readable || ev.hangup) && !conn.closing {
+                conn.read_once(&mut scratch);
             }
         }
         if woken {
@@ -393,22 +482,22 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
             // a completion may have landed for any waiting connection
             touched.extend(waiting.iter().copied());
         }
-        // flush + interest maintenance for every connection poked above
+        // dispatch + flush + interest maintenance for every connection
+        // poked above
         touched.sort_unstable();
         touched.dedup();
         for idx in touched {
             let Some(conn) = slab.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            conn.collect_replies();
+            conn.dispatch(endpoint, &notify);
             let alive = conn.flush();
             if conn.waiting() {
                 waiting.insert(idx);
             } else {
                 waiting.remove(&idx);
             }
-            let done = conn.closing && conn.outbox.is_empty() && conn.replies.is_empty();
-            if !alive || done {
+            if !alive || conn.finished() {
                 let conn = slab[idx].take().expect("connection just seen");
                 let _ = poller.deregister(conn.stream.as_raw_fd());
                 waiting.remove(&idx);
@@ -429,44 +518,6 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
                 }
             }
         }
-    }
-}
-
-/// Drains the socket to `WouldBlock`, then dispatches every complete
-/// line through the endpoint. Partial trailing bytes stay in `rbuf`.
-fn read_and_dispatch(endpoint: &Endpoint, notify: &NotifyFn, conn: &mut Conn, scratch: &mut [u8]) {
-    loop {
-        match (&conn.stream).read(scratch) {
-            Ok(0) => {
-                conn.closing = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.closing = true;
-                break;
-            }
-        }
-    }
-    let mut start = 0usize;
-    while let Some(pos) = conn.rbuf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + pos;
-        let line = String::from_utf8_lossy(&conn.rbuf[start..end]).into_owned();
-        start = end + 1;
-        match endpoint.handle_line_with_notify(&line, Some(Arc::clone(notify))) {
-            Submission::Ignored => {}
-            Submission::Ready(resp) => {
-                let mut bytes = encode_line(&resp).into_bytes();
-                bytes.push(b'\n');
-                conn.replies.push_back(Reply::Done(bytes));
-            }
-            Submission::Queued(pending) => conn.replies.push_back(Reply::Waiting(pending)),
-        }
-    }
-    if start > 0 {
-        conn.rbuf.drain(..start);
     }
 }
 
@@ -516,28 +567,34 @@ mod tests {
         (task, model.checkpoint())
     }
 
+    /// Serves `service` on an ephemeral port through a single event
+    /// loop, so every connection of a test shares one loop thread.
+    fn listen_on_one_loop(service: &mut RecommendService) -> SocketAddr {
+        let transport = EventTransport::new("127.0.0.1:0", 1).unwrap();
+        service.attach(Box::new(transport)).unwrap().tcp().unwrap()
+    }
+
     #[test]
-    fn event_frontend_answers_bit_identically_to_the_threaded_one() {
+    fn event_frontend_answers_bit_identically_to_the_in_process_client() {
         let (task, ckpt) = trained();
-        let mut threaded = RecommendService::start(
+        let reference = RecommendService::start(
             ServeConfig::default(),
             EvalEngine::shared(task.clone()),
             ckpt.clone(),
         );
         let mut evented =
             RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
-        let taddr = threaded.listen("127.0.0.1:0").unwrap();
-        let eaddr = evented.listen_event("127.0.0.1:0", 2).unwrap();
+        let eaddr = evented.listen("127.0.0.1:0").unwrap();
 
-        let mut tc = TcpClient::connect(taddr).unwrap();
+        let client = reference.client();
         let mut ec = TcpClient::connect(eaddr).unwrap();
         for (id, m) in [(1u64, 48u64), (2, 96), (3, 48)] {
-            let a = tc.send(&Request::Recommend(gemm_req(id, m))).unwrap();
+            let a = client.recommend(gemm_req(id, m));
             let b = ec.send(&Request::Recommend(gemm_req(id, m))).unwrap();
             let (Response::Recommendation(a), Response::Recommendation(b)) = (&a, &b) else {
                 panic!("expected recommendations, got {a:?} / {b:?}");
             };
-            assert_eq!(a.point, b.point, "front ends disagree on the design point");
+            assert_eq!(a.point, b.point, "TCP and in-process answers disagree");
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
         // admin and malformed lines answer inline on the same socket
@@ -550,8 +607,70 @@ mod tests {
         let mut line = String::new();
         ec.reader.read_line(&mut line).unwrap();
         assert!(line.contains("malformed"), "unexpected {line:?}");
-        threaded.shutdown();
+        reference.shutdown();
         evented.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_past_the_reply_cap_wait_in_the_socket() {
+        let (task, ckpt) = trained();
+        let mut service = RecommendService::start_with(
+            ServeConfig {
+                driver: Driver::Manual,
+                shards: 1,
+                ..ServeConfig::default()
+            },
+            EvalEngine::shared(task),
+            ckpt,
+            std::sync::Arc::new(crate::clock::VirtualClock::new()),
+        );
+        let addr = service.listen("127.0.0.1:0").unwrap();
+        let mut client = TcpClient::connect(addr).unwrap();
+        // pipeline 200 distinct recommendations without reading a reply
+        const N: u64 = 200;
+        let mut wire = Vec::new();
+        for id in 0..N {
+            wire.extend_from_slice(
+                encode_line(&Request::Recommend(gemm_req(id, 16 + id))).as_bytes(),
+            );
+            wire.push(b'\n');
+        }
+        client.writer.write_all(&wire).unwrap();
+        client.writer.flush().unwrap();
+        // the EOF lands behind lines the server has not dispatched yet;
+        // every one of them must still be answered before it closes
+        client.writer.shutdown(std::net::Shutdown::Write).unwrap();
+        // no shard runs, so the connection must stop at its reply cap
+        // instead of admitting all of it
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        assert_eq!(service.queued(), MAX_PENDING_REPLIES);
+
+        let reader = std::thread::spawn(move || {
+            let answers = (0..N)
+                .map(|_| {
+                    let mut line = String::new();
+                    client.reader.read_line(&mut line).unwrap();
+                    crate::protocol::decode_line::<Response>(&line).unwrap()
+                })
+                .collect::<Vec<_>>();
+            // all answered: the server closes its side
+            assert_eq!(client.reader.read_line(&mut String::new()).unwrap(), 0);
+            answers
+        });
+        while !reader.is_finished() {
+            assert!(service.queued() <= MAX_PENDING_REPLIES);
+            if !service.step_shard(0) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let answers = reader.join().unwrap();
+        for (id, resp) in (0..N).zip(&answers) {
+            assert!(
+                matches!(resp, Response::Recommendation(r) if r.id == id),
+                "answer {id} out of order: {resp:?}"
+            );
+        }
+        service.shutdown();
     }
 
     #[test]
@@ -559,7 +678,7 @@ mod tests {
         let (task, ckpt) = trained();
         let mut service =
             RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
-        let addr = service.listen_event("127.0.0.1:0", 1).unwrap();
+        let addr = listen_on_one_loop(&mut service);
 
         // the straggler dribbles its request one byte at a time
         let mut loris = TcpClient::connect(addr).unwrap();
@@ -605,7 +724,7 @@ mod tests {
             std::sync::Arc::new(crate::clock::VirtualClock::new()),
         );
         let mut service = service;
-        let addr = service.listen_event("127.0.0.1:0", 1).unwrap();
+        let addr = listen_on_one_loop(&mut service);
         let mut client = TcpClient::connect(addr).unwrap();
         // flood five requests without reading: with a manual driver the
         // queue cannot drain, so exactly high_water are admitted and the

@@ -24,16 +24,17 @@
 //!   cache keyed by canonical query, per-request deadlines, a TCP
 //!   listener plus in-process [`Client`], and a `stats` endpoint with
 //!   throughput and p50/p95/p99 latency.
-//! * [`transport`] — pluggable line transports over one shared
-//!   [`Endpoint`](server::Endpoint) seam: the thread-per-connection TCP
-//!   front end and the deterministic in-process [`VirtualTransport`] the
+//! * [`transport`] — the [`Transport`] trait over one shared
+//!   [`Endpoint`](server::Endpoint) seam, the blocking [`TcpClient`],
+//!   and the deterministic in-process [`VirtualTransport`] the
 //!   `ai2_simtest` harness drives (seeded delivery order, injectable
 //!   delays and disconnects, no sockets).
-//! * [`event`] — the event-driven front end: one acceptor plus N
-//!   event-loop threads multiplexing every connection through a
-//!   vendored readiness poller (`mini-poll`), with per-connection write
-//!   backpressure; pairs with `ServeConfig::overload` shed-or-queue
-//!   admission control for 10k-connection scale.
+//! * [`event`] — the TCP front end behind
+//!   [`RecommendService::listen`]: one acceptor plus two event-loop
+//!   threads multiplexing every connection through a vendored readiness
+//!   poller (`mini-poll`), with per-connection backpressure on pending
+//!   replies and outgoing bytes; pairs with `ServeConfig::overload`
+//!   shed-or-queue admission control for 10k-connection scale.
 //! * [`clock`] — the service's notion of time behind a trait:
 //!   [`WallClock`] in production, [`VirtualClock`] under simulation so
 //!   deadline expiry replays deterministically.
@@ -106,6 +107,4 @@ pub use server::{
     Client, Driver, Endpoint, NotifyFn, OverloadPolicy, Pending, RecommendService, ServeConfig,
     Submission,
 };
-pub use transport::{
-    BoundAddr, Delivery, Shutdown, TcpClient, TcpTransport, Transport, VirtualTransport,
-};
+pub use transport::{BoundAddr, Delivery, Shutdown, TcpClient, Transport, VirtualTransport};

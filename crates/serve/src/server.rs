@@ -66,6 +66,7 @@ use airchitect::{Airchitect2, InferenceScratch, ModelCheckpoint};
 
 use crate::cache::LruCache;
 use crate::clock::{Clock, WallClock};
+use crate::event::{EventTransport, LOOP_THREADS};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{
     decode_line, AdminAck, AdminRequest, PipelineInfo, PipelineServed, QueryKey, RecommendRequest,
@@ -74,7 +75,7 @@ use crate::protocol::{
 use crate::recommend::{recommend_batch_in, BackendEngines};
 use crate::refresh::{refresh_once, RefreshConfig, RefreshOutcome, ReplayBuffer};
 use crate::registry::ModelRegistry;
-use crate::transport::{BoundAddr, TcpTransport, Transport};
+use crate::transport::{BoundAddr, Transport};
 
 /// A completion hook a transport attaches to a submission: invoked
 /// (from the answering shard's thread) right after the response lands
@@ -695,36 +696,17 @@ impl RecommendService {
     }
 
     /// Binds a TCP listener (use port 0 for an ephemeral port) and
-    /// starts accepting NDJSON connections with the thread-per-
-    /// connection front end. Returns the bound address.
+    /// starts accepting NDJSON connections on the event-loop front end
+    /// ([`EventTransport`]). Returns the bound address.
     ///
     /// # Errors
     ///
     /// Returns the bind error.
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        let transport = TcpTransport::new(addr)?;
+        let transport = EventTransport::new(addr, LOOP_THREADS)?;
         match self.attach(Box::new(transport))? {
             BoundAddr::Tcp(local) => Ok(local),
             BoundAddr::InProcess => unreachable!("TCP transports always report an address"),
-        }
-    }
-
-    /// Binds an event-loop front end on `addr` with `threads` loop
-    /// threads and starts accepting NDJSON connections. Returns the
-    /// bound address.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error.
-    pub fn listen_event(
-        &mut self,
-        addr: impl ToSocketAddrs,
-        threads: usize,
-    ) -> io::Result<SocketAddr> {
-        let transport = crate::event::EventTransport::new(addr, threads)?;
-        match self.attach(Box::new(transport))? {
-            BoundAddr::Tcp(local) => Ok(local),
-            BoundAddr::InProcess => unreachable!("event transports always report an address"),
         }
     }
 
@@ -858,12 +840,11 @@ impl RecommendService {
         for h in self.shards.drain(..) {
             h.join().expect("shard panicked");
         }
-        // pending jobs: dropping the senders unblocks their receivers.
-        // This must happen before transports stop — transports join
-        // their connection threads, and a connection blocked on a
-        // queued job that no shard will ever pick up would deadlock the
-        // join. (`Inner::submit` answers inline once `stop` is set, so
-        // nothing re-enters the queue after this clear.)
+        // pending jobs: dropping the senders unblocks their receivers,
+        // so a client blocked on a queued job that no shard will ever
+        // pick up gets the shutdown error instead of hanging.
+        // (`Inner::submit` answers inline once `stop` is set, so nothing
+        // re-enters the queue after this clear.)
         self.inner
             .queue
             .lock()

@@ -23,7 +23,7 @@ fn bad_arguments_exit_two_with_usage() {
         &["--bogus"][..],
         &["--port"],
         &["--port", "many"],
-        &["--frontend", "fibers"],
+        &["--quick", "--pipelines"],
     ] {
         let out = serve(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

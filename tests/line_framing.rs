@@ -1,16 +1,16 @@
 //! Line-framing property test: a request stream must parse identically
 //! no matter how the bytes arrive.
 //!
-//! Both front ends reassemble newline-delimited requests from partial
-//! reads — the threaded one through `BufReader::read_line`, the event
-//! one through its per-connection read buffer. The framing contract at
-//! the `Endpoint::handle_line` seam is the same: one `\n`-terminated
-//! line, one request, leftovers carried to the next read. This test
-//! drives a real TCP server on each front end with the *same* request
-//! byte stream fragmented many different ways — one shot, byte at a
-//! time, fixed 7-byte chunks straddling request boundaries, and
-//! seeded-random splits — and requires byte-identical response
-//! sequences from every fragmentation on both front ends.
+//! The TCP front end reassembles newline-delimited requests from partial
+//! reads in a per-connection buffer. The framing contract at the
+//! `Endpoint::handle_line` seam: one `\n`-terminated line, one request,
+//! leftovers carried to the next read. This test drives a real TCP
+//! server with the *same* request byte stream fragmented many different
+//! ways — one shot, byte at a time, fixed 7-byte chunks straddling
+//! request boundaries, and seeded-random splits — and requires
+//! byte-identical response sequences from every fragmentation. A second
+//! test pins that a line nested past the JSON depth limit answers an
+//! error instead of taking the server down.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -126,12 +126,9 @@ fn seeded_splits(bytes: &[u8], seed: u64, max: usize) -> Vec<&[u8]> {
 }
 
 #[test]
-fn any_fragmentation_parses_identically_on_both_front_ends() {
+fn any_fragmentation_parses_identically() {
     let mut service = started_service();
-    let threaded = service.listen(("127.0.0.1", 0)).expect("listen threads");
-    let event = service
-        .listen_event(("127.0.0.1", 0), 1)
-        .expect("listen event");
+    let addr = service.listen(("127.0.0.1", 0)).expect("listen");
 
     let stream = request_stream();
     let expect = 8; // 6 recommendations + 1 malformed error + 1 stats
@@ -146,32 +143,55 @@ fn any_fragmentation_parses_identically_on_both_front_ends() {
             responses[7]
         );
     };
-    for addr in [threaded, event] {
-        let oneshot = drive(addr, &[&stream[..]], expect);
-        assert!(
-            oneshot[3].contains("malformed"),
-            "garbage line must answer an inline error: {:?}",
-            oneshot[3]
+    let oneshot = drive(addr, &[&stream[..]], expect);
+    assert!(
+        oneshot[3].contains("malformed"),
+        "garbage line must answer an inline error: {:?}",
+        oneshot[3]
+    );
+    check(&oneshot, &oneshot, "one shot");
+
+    // byte at a time: the worst case the reassembly path must hold
+    let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+    check(&drive(addr, &bytes, expect), &oneshot, "byte-at-a-time");
+
+    // fixed 7-byte chunks deliberately straddle every request
+    // boundary (no request line is a multiple of 7 bytes long)
+    let sevens: Vec<&[u8]> = stream.chunks(7).collect();
+    check(&drive(addr, &sevens, expect), &oneshot, "7-byte chunks");
+
+    for seed in 1..=8u64 {
+        let random = seeded_splits(&stream, seed, 23);
+        check(
+            &drive(addr, &random, expect),
+            &oneshot,
+            &format!("seeded fragmentation (seed {seed})"),
         );
-        check(&oneshot, &oneshot, "one shot");
-
-        // byte at a time: the worst case every reassembly path must hold
-        let bytes: Vec<&[u8]> = stream.chunks(1).collect();
-        check(&drive(addr, &bytes, expect), &oneshot, "byte-at-a-time");
-
-        // fixed 7-byte chunks deliberately straddle every request
-        // boundary (no request line is a multiple of 7 bytes long)
-        let sevens: Vec<&[u8]> = stream.chunks(7).collect();
-        check(&drive(addr, &sevens, expect), &oneshot, "7-byte chunks");
-
-        for seed in 1..=8u64 {
-            let random = seeded_splits(&stream, seed, 23);
-            check(
-                &drive(addr, &random, expect),
-                &oneshot,
-                &format!("seeded fragmentation (seed {seed})"),
-            );
-        }
     }
+    service.shutdown();
+}
+
+#[test]
+fn a_line_nested_past_the_depth_limit_answers_an_error_and_the_connection_survives() {
+    let mut service = started_service();
+    let addr = service.listen(("127.0.0.1", 0)).expect("listen");
+    // 20 000 nested arrays: deep enough to overflow the stack of a
+    // decoder that recurses without a limit
+    let mut deep = vec![b'['; 20_000];
+    deep.push(b'\n');
+    let probe = encode_line(&Request::Admin(AdminRequest::Stats { id: 7 }));
+    let mut next = probe.into_bytes();
+    next.push(b'\n');
+    let responses = drive(addr, &[&deep[..], &next[..]], 2);
+    assert!(
+        responses[0].contains("\"Error\"") && responses[0].contains("malformed"),
+        "the deep line must answer a parse error: {:?}",
+        responses[0]
+    );
+    assert!(
+        responses[1].contains("\"Stats\"") && responses[1].contains("\"id\":7"),
+        "the next line on the same connection must be answered: {:?}",
+        responses[1]
+    );
     service.shutdown();
 }
